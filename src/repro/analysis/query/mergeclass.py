@@ -26,8 +26,10 @@ bounds of the Qs — the inputs ROADMAP's incremental-view and
 cost-planner work need.  Diagnostics RQL100-106 ride along as
 :class:`~repro.analysis.findings.Finding` objects.
 
-``repro.core.parallel.ParallelExecutor`` consumes the certificate: it
-looks its merge implementation up *by merge class* and raises
+The merge-class literals and the mechanism -> class map live beside
+the folds that implement them (:mod:`repro.core.folds`) and are
+re-exported here.  ``repro.core.parallel.ParallelExecutor`` consumes
+the certificate: it picks its fold *by merge class* and raises
 ``MechanismError`` for ``serial-only`` (or a class that does not match
 the mechanism), so a wrong certificate cannot silently merge wrong.
 """
@@ -39,6 +41,14 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import AggregateError, ReproError
 from repro.analysis.findings import ERROR, WARNING, Finding
+from repro.core.folds import (  # noqa: F401  (re-exported)
+    CONCAT,
+    INTERVAL_STITCH,
+    MECHANISM_CLASSES,
+    MONOID,
+    SERIAL_ONLY,
+    STORED_ROW,
+)
 from repro.sql import ast
 from repro.sql.parser import parse_sql
 from repro.sql.semantic import (
@@ -48,21 +58,6 @@ from repro.sql.semantic import (
     analyze_qs,
     resolve_select,
 )
-
-CONCAT = "concat"
-MONOID = "monoid"
-STORED_ROW = "stored-row"
-INTERVAL_STITCH = "interval-stitch"
-SERIAL_ONLY = "serial-only"
-
-#: canonical mechanism name (lowered) -> merge class when certified
-MECHANISM_CLASSES: Dict[str, str] = {
-    "collatedata": CONCAT,
-    "aggregatedatainvariable": MONOID,
-    "aggregatedataintable": STORED_ROW,
-    "collatedataintointervals": INTERVAL_STITCH,
-}
-
 
 @dataclass
 class MergeCertificate:

@@ -6,8 +6,9 @@ differential harness proves serial/parallel equivalence only for the
 workloads it samples, so a merge that additionally mutates engine,
 pager or session state can diverge on unsampled workloads without any
 test noticing.  Scope: ``CrossSnapshotAggregate.merge`` (and subclass
-overrides), the ``merge_*`` helpers in ``core/aggregates.py``, and the
-executor's stored-row merge.
+overrides), the ``merge_*`` helpers in ``core/aggregates.py``, and
+every merge in ``core/folds.py`` — each ``Fold.merge`` the executor
+and view refresh run, plus the stored-row ``merge_group_rows``.
 
 The purity summaries track, interprocedurally, which parameters a
 function mutates and any effects on program-class state reached through
@@ -52,9 +53,9 @@ def _merge_targets(program: "Program") -> List[Tuple["FunctionInfo", str]]:
         elif func.cls is None and func.name.startswith("merge_") \
                 and func.module.endswith("core/aggregates.py"):
             targets.append((func, "stored-value merge"))
-        elif func.name == "_merge_stored_rows" \
-                and func.module.endswith("core/parallel.py"):
-            targets.append((func, "executor stored-row merge"))
+        elif func.name.startswith("merge") \
+                and func.module.endswith("core/folds.py"):
+            targets.append((func, "fold"))
     return targets
 
 
@@ -64,7 +65,7 @@ class MergePurityChecker(ProgramChecker):
     name = "merge-purity"
     description = (
         "registered merge functions (CrossSnapshotAggregate.merge, "
-        "merge_* helpers, stored-row merge) must be pure: fold into "
+        "merge_* helpers, Fold merges) must be pure: fold into "
         "the accumulator only, never mutate engine/pager/session state"
     )
     example = (

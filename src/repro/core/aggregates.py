@@ -13,6 +13,7 @@ prescribes.
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import AggregateError
@@ -33,6 +34,8 @@ class CrossSnapshotAggregate:
     """Incremental fold of one value per snapshot (or per record)."""
 
     name: str = ""
+    #: persisted payload key -> state attribute, for dump()/restore()
+    _state_fields: Dict[str, str] = {}
 
     def absorb(self, value: SqlValue) -> None:
         """Fold one observed value into the state (NULLs are skipped)."""
@@ -45,9 +48,28 @@ class CrossSnapshotAggregate:
     def result(self) -> SqlValue:
         raise NotImplementedError
 
+    def dump(self) -> Optional[dict]:
+        """JSON-serializable fold state, or None when a value cannot
+        round-trip through JSON (a BLOB min/max, say) — a view then
+        falls back to full recompute."""
+        payload = {"func": self.name}
+        for key, attribute in self._state_fields.items():
+            payload[key] = getattr(self, attribute)
+        try:
+            json.dumps(payload)
+        except (TypeError, ValueError):
+            return None
+        return payload
+
+    def restore(self, payload: dict) -> None:
+        """Resume from a :meth:`dump` payload."""
+        for key, attribute in self._state_fields.items():
+            setattr(self, attribute, payload[key])
+
 
 class _MinAgg(CrossSnapshotAggregate):
     name = "min"
+    _state_fields = {"value": "best"}
 
     def __init__(self) -> None:
         self.best: SqlValue = None
@@ -67,6 +89,7 @@ class _MinAgg(CrossSnapshotAggregate):
 
 class _MaxAgg(CrossSnapshotAggregate):
     name = "max"
+    _state_fields = {"value": "best"}
 
     def __init__(self) -> None:
         self.best: SqlValue = None
@@ -86,6 +109,7 @@ class _MaxAgg(CrossSnapshotAggregate):
 
 class _SumAgg(CrossSnapshotAggregate):
     name = "sum"
+    _state_fields = {"value": "total"}
 
     def __init__(self) -> None:
         self.total: Optional[float] = None
@@ -105,6 +129,7 @@ class _SumAgg(CrossSnapshotAggregate):
 
 class _CountAgg(CrossSnapshotAggregate):
     name = "count"
+    _state_fields = {"value": "count"}
 
     def __init__(self) -> None:
         self.count = 0
@@ -127,6 +152,7 @@ class _AvgAgg(CrossSnapshotAggregate):
     """The paper's AVG special case: a (sum, count) monoid, divided last."""
 
     name = "avg"
+    _state_fields = {"sum": "total", "count": "count"}
 
     def __init__(self) -> None:
         self.total = 0.0

@@ -25,16 +25,19 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import MechanismError, QueryCancelled
-from repro.core.aggregates import (
-    CrossSnapshotAggregate,
-    make_cross_snapshot_aggregate,
-    parse_col_func_pairs,
+from repro.core.aggregates import CrossSnapshotAggregate, parse_col_func_pairs
+from repro.core.folds import (
+    END_COLUMN,
+    START_COLUMN,
+    MonoidFold,
+    TableAggregateSchema,
+    result_index_name,
 )
 from repro.core.rewrite import rewrite_qq, validate_qs
 from repro.retro.metrics import MetricsSink
 from repro.sql.database import Database
-from repro.sql.executor import TableAccess, TableWriter
-from repro.sql.types import SqlValue, compare
+from repro.sql.executor import IndexAccess, TableWriter
+from repro.sql.types import SqlValue
 
 
 @dataclass
@@ -136,11 +139,13 @@ class _LoopBody:
             f"CREATE {temp}TABLE {_quote(self.table)} ({cols})"
         )
 
-    def _run_qq(self, snapshot_id: int, on_row,
-                need_columns: bool = False) -> Optional[List[str]]:
+    def _run_qq(self, snapshot_id: int, begin) -> List[str]:
         """Run rewritten Qq, timing Qq evaluation vs callback (UDF) work.
 
-        Returns the Qq output column names when ``need_columns``.
+        ``begin(columns)`` sees the Qq output columns before the first
+        row (bind a schema, create the result table) and returns the
+        per-row callback.  ``begin`` counts as query evaluation, every
+        callback as UDF.  Returns the Qq output column names.
         """
         rewritten = rewrite_qq(self.qq, snapshot_id)
         clock = self.sink.clock
@@ -149,6 +154,7 @@ class _LoopBody:
         started = clock()
         udf_seconds = 0.0
         columns, rows = self.db.execute_cursor(rewritten)
+        on_row = begin(columns)
         for row in rows:
             current.qq_rows += 1
             cb_start = clock()
@@ -162,7 +168,29 @@ class _LoopBody:
         current.query_eval_seconds += max(
             total - udf_seconds - index_delta, 0.0,
         )
-        return columns if need_columns else None
+        return columns
+
+    def _build_result_index(self, columns: Sequence[str]) -> None:
+        """Index the result table at the end of the first iteration
+        (paper Section 3).  Its cost belongs to the UDF (Figure 12), not
+        to Qq index creation, so the statement's own index-creation
+        metering is neutralized."""
+        current = self.sink.current
+        index_before = current.index_creation_seconds
+        started = self.sink.clock()
+        self.db.execute(
+            f"CREATE INDEX {_quote(self.index_name)} ON "
+            f"{_quote(self.table)} ({', '.join(_quote(c) for c in columns)})"
+        )
+        self._timed_udf(self.sink.clock() - started)
+        current.index_creation_seconds = index_before
+
+    def _result_index(self, writer: TableWriter) -> IndexAccess:
+        """The result-table index the probe passes look rows up in."""
+        for index in writer.indexes:
+            if index.info.name.lower() == self.index_name.lower():
+                return index
+        raise MechanismError("result-table index vanished")
 
     def _timed_udf(self, seconds: float) -> None:
         self.sink.current.udf_seconds += seconds
@@ -222,28 +250,13 @@ class CollateDataRun(_LoopBody):
     """
 
     def _iteration(self, snapshot_id: int, first: bool) -> None:
-        with self.db.transaction():
-            rewritten = rewrite_qq(self.qq, snapshot_id)
-            clock = self.sink.clock
-            current = self.sink.current
-            index_before = current.index_creation_seconds
-            started = clock()
-            columns, rows = self.db.execute_cursor(rewritten)
+        def begin(columns):
             if first:
                 self._create_result_table(columns)
-            _, writer = self.db.table_writer(self.table)
-            udf_seconds = 0.0
-            for row in rows:
-                current.qq_rows += 1
-                cb = clock()
-                writer.insert(row)
-                udf_seconds += clock() - cb
-            total = clock() - started
-            index_delta = current.index_creation_seconds - index_before
-            current.udf_seconds += udf_seconds
-            current.query_eval_seconds += max(
-                total - udf_seconds - index_delta, 0.0,
-            )
+            return self.db.table_writer(self.table)[1].insert
+
+        with self.db.transaction():
+            self._run_qq(snapshot_id, begin)
 
 
 # ---------------------------------------------------------------------------
@@ -262,153 +275,33 @@ class AggregateDataInVariableRun(_LoopBody):
                  persistent: bool = False,
                  sink: Optional[MetricsSink] = None) -> None:
         super().__init__(db, qq, table, persistent, sink=sink)
-        self.state: CrossSnapshotAggregate = \
-            make_cross_snapshot_aggregate(agg_func)
-        self._column: Optional[str] = None
+        self.fold = MonoidFold(agg_func)
+
+    @property
+    def state(self) -> CrossSnapshotAggregate:
+        return self.fold.aggregate
 
     def _iteration(self, snapshot_id: int, first: bool) -> None:
         collected: List[Sequence[SqlValue]] = []
-        columns = self._run_qq(snapshot_id, collected.append,
-                               need_columns=True)
-        assert columns is not None
-        if len(columns) != 1:
-            raise MechanismError(
-                "AggregateDataInVariable requires a single-column Qq"
-            )
-        if first:
-            self._column = columns[0]
-        if len(collected) > 1:
-            raise MechanismError(
-                "AggregateDataInVariable requires Qq to return a single "
-                f"row; snapshot {snapshot_id} returned {len(collected)}"
-            )
+        columns = self._run_qq(snapshot_id, lambda _columns: collected.append)
         started = self.sink.clock()
-        if collected:
-            self.state.absorb(collected[0][0])
+        self.fold.step(snapshot_id, columns, collected)
         self._timed_udf(self.sink.clock() - started)
 
     def finalize(self) -> None:
-        if self._column is None:
+        emitted = self.fold.emit()
+        if emitted is None:
             return
         with self.db.transaction():
-            self._create_result_table([self._column])
+            self._create_result_table(emitted.columns)
             _, writer = self.db.table_writer(self.table)
-            writer.insert((self.state.result(),))
+            for row in emitted.rows:
+                writer.insert(row)
 
 
 # ---------------------------------------------------------------------------
 # Aggregate Data In Table
 # ---------------------------------------------------------------------------
-
-class TableAggregateSchema:
-    """Schema binding + per-record fold logic for AggregateDataInTable.
-
-    Shared by the serial index-probe run, the sort-merge ablation
-    variant, and the parallel merge phase
-    (:mod:`repro.core.parallel`), so all three agree byte-for-byte on
-    widened rows and aggregate updates — including the hidden
-    ``__avg_sum_i`` / ``__avg_cnt_i`` helper columns.
-    """
-
-    def __init__(self, pairs: List[Tuple[str, str]]) -> None:
-        self.pairs = pairs
-        self.group_positions: List[int] = []
-        self.agg_specs: List[Tuple[int, str, Optional[int], Optional[int]]] = []
-        self.columns: List[str] = []
-
-    @property
-    def bound(self) -> bool:
-        return bool(self.columns)
-
-    def bind(self, columns: List[str]) -> None:
-        lowered = [c.lower() for c in columns]
-        agg_columns = {}
-        for column, func in self.pairs:
-            if column.lower() not in lowered:
-                raise MechanismError(
-                    f"aggregation column {column!r} not in Qq output "
-                    f"{columns}"
-                )
-            agg_columns[lowered.index(column.lower())] = func
-        self.group_positions = [
-            i for i in range(len(columns)) if i not in agg_columns
-        ]
-        if not self.group_positions:
-            raise MechanismError(
-                "AggregateDataInTable needs at least one grouping column; "
-                "use AggregateDataInVariable for scalar aggregation"
-            )
-        stored = list(columns)
-        self.agg_specs = []
-        for position, func in sorted(agg_columns.items()):
-            if func == "avg":
-                sum_pos = len(stored)
-                stored.append(f"__avg_sum_{position}")
-                cnt_pos = len(stored)
-                stored.append(f"__avg_cnt_{position}")
-                self.agg_specs.append((position, func, sum_pos, cnt_pos))
-            else:
-                self.agg_specs.append((position, func, None, None))
-        self.columns = stored
-
-    def widen(self, row: Sequence[SqlValue]) -> Tuple[SqlValue, ...]:
-        """Prepare a fresh group row: initialize aggregate columns and
-        append hidden AVG helper values.
-
-        COUNT starts at 1 per occurrence (the stored column counts the
-        snapshots a group appears in, not the group's first Qq value);
-        MIN/MAX/SUM start at the observed value; AVG starts at the value
-        with (sum, count) helpers.
-        """
-        out = list(row)
-        for position, func, sum_pos, cnt_pos in self.agg_specs:
-            value = row[position]
-            if func == "count":
-                out[position] = 1 if value is not None else 0
-            elif func == "avg":
-                out.append(float(value) if value is not None else 0.0)
-                out.append(1 if value is not None else 0)
-        return tuple(out)
-
-    def apply(self, existing: Sequence[SqlValue],
-              row: Sequence[SqlValue]) -> Optional[Tuple[SqlValue, ...]]:
-        """Merge one Qq record into the stored group row.
-
-        Returns the new stored row, or None when nothing changed (MAX/
-        MIN often don't — the paper's Figure 13 contrast with SUM).
-        """
-        out = list(existing)
-        changed = False
-        for position, func, sum_pos, cnt_pos in self.agg_specs:
-            new_value = row[position]
-            if func == "avg":
-                if new_value is None:
-                    continue
-                out[sum_pos] = (out[sum_pos] or 0.0) + float(new_value)
-                out[cnt_pos] = (out[cnt_pos] or 0) + 1
-                out[position] = out[sum_pos] / out[cnt_pos]
-                changed = True
-                continue
-            old_value = out[position]
-            if new_value is None:
-                continue
-            if func == "sum":
-                out[position] = (0 if old_value is None else old_value) \
-                    + new_value
-                changed = True
-            elif func == "count":
-                out[position] = (0 if old_value is None else old_value) + 1
-                changed = True
-            elif func == "min":
-                if old_value is None or compare(new_value, old_value) == -1:
-                    out[position] = new_value
-                    changed = True
-            elif func == "max":
-                if old_value is None or compare(new_value, old_value) == 1:
-                    out[position] = new_value
-                    changed = True
-        return tuple(out) if changed else None
-
 
 class AggregateDataInTableRun(_LoopBody):
     """Across-time GROUP BY (paper Section 2.3).
@@ -428,9 +321,8 @@ class AggregateDataInTableRun(_LoopBody):
                  sink: Optional[MetricsSink] = None) -> None:
         super().__init__(db, qq, table, persistent, sink=sink)
         self.pairs = parse_col_func_pairs(col_func_pairs)
-        self.index_name = f"__rqlidx_{table.lower()}"
+        self.index_name = result_index_name(table)
         self.schema = TableAggregateSchema(self.pairs)
-        self._table_access: Optional[TableAccess] = None
         #: operation counters (Figure 13 contrasts SUM's ~1M updates
         #: with MAX's ~22K)
         self.probes = 0
@@ -442,10 +334,6 @@ class AggregateDataInTableRun(_LoopBody):
     @property
     def _group_positions(self) -> List[int]:
         return self.schema.group_positions
-
-    @property
-    def _agg_specs(self):
-        return self.schema.agg_specs
 
     @property
     def _columns(self) -> List[str]:
@@ -464,68 +352,30 @@ class AggregateDataInTableRun(_LoopBody):
 
     def _iteration(self, snapshot_id: int, first: bool) -> None:
         with self.db.transaction():
-            rewritten = rewrite_qq(self.qq, snapshot_id)
-            clock = self.sink.clock
-            current = self.sink.current
-            index_before = current.index_creation_seconds
-            started = clock()
-            columns, rows = self.db.execute_cursor(rewritten)
             if first:
-                self._bind_columns(columns)
-                self._create_result_table(self._columns)
-            table, writer = self.db.table_writer(self.table)
-            if first:
-                udf = self._first_pass(rows, writer)
-                # Build the grouping-column index at the end of the
-                # first iteration (paper Section 3).  Its cost belongs
-                # to the UDF (Figure 12), not to Qq index creation, so
-                # neutralize the CREATE INDEX statement's own metering.
-                index_cols = ", ".join(
-                    _quote(self._columns[p]) for p in self._group_positions
-                )
-                idx_start = clock()
-                self.db.execute(
-                    f"CREATE INDEX {_quote(self.index_name)} ON "
-                    f"{_quote(self.table)} ({index_cols})"
-                )
-                udf += clock() - idx_start
-                current.index_creation_seconds = index_before
+                self._run_qq(snapshot_id, self._begin_first_pass)
+                self._build_result_index(
+                    [self._columns[p] for p in self._group_positions])
             else:
-                udf = self._probe_pass(rows, table, writer)
-            total = clock() - started
-            index_delta = current.index_creation_seconds - index_before
-            current.udf_seconds += udf
-            current.query_eval_seconds += max(
-                total - udf - index_delta, 0.0,
-            )
+                self._run_qq(snapshot_id, self._begin_probe_pass)
 
-    def _first_pass(self, rows, writer: TableWriter) -> float:
-        clock = self.sink.clock
-        current = self.sink.current
-        udf = 0.0
-        for row in rows:
-            current.qq_rows += 1
-            cb = clock()
+    def _begin_first_pass(self, columns: List[str]):
+        """Create T and insert every record without probing."""
+        self._bind_columns(columns)
+        self._create_result_table(self._columns)
+        _, writer = self.db.table_writer(self.table)
+
+        def insert(row) -> None:
             writer.insert(self._widen(row))
             self.rows_inserted += 1
-            udf += clock() - cb
-        return udf
+        return insert
 
-    def _probe_pass(self, rows, table: TableAccess,
-                    writer: TableWriter) -> float:
-        index = next(
-            (ix for ix in writer.indexes
-             if ix.info.name.lower() == self.index_name.lower()),
-            None,
-        )
-        if index is None:
-            raise MechanismError("result-table index vanished")
-        clock = self.sink.clock
-        current = self.sink.current
-        udf = 0.0
-        for row in rows:
-            current.qq_rows += 1
-            cb = clock()
+    def _begin_probe_pass(self, columns: List[str]):
+        """Probe the grouping index per record; update or insert."""
+        table, writer = self.db.table_writer(self.table)
+        index = self._result_index(writer)
+
+        def probe(row) -> None:
             group_values = [row[p] for p in self._group_positions]
             rowid = next(iter(index.lookup_equal(group_values)), None)
             self.probes += 1
@@ -538,8 +388,7 @@ class AggregateDataInTableRun(_LoopBody):
                 if updated is not None:
                     writer.update(rowid, updated)
                     self.updates_applied += 1
-            udf += clock() - cb
-        return udf
+        return probe
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +404,14 @@ class CollateDataIntoIntervalsRun(_LoopBody):
     record-lifetime representation of temporal databases (Section 2.4).
     """
 
-    START_COLUMN = "start_snapshot"
-    END_COLUMN = "end_snapshot"
+    START_COLUMN = START_COLUMN
+    END_COLUMN = END_COLUMN
 
     def __init__(self, db: Database, qq: str, table: str,
                  persistent: bool = False,
                  sink: Optional[MetricsSink] = None) -> None:
         super().__init__(db, qq, table, persistent, sink=sink)
-        self.index_name = f"__rqlidx_{table.lower()}"
+        self.index_name = result_index_name(table)
         self._qq_width = 0
         self._previous_snapshot: Optional[int] = None
 
@@ -570,75 +419,42 @@ class CollateDataIntoIntervalsRun(_LoopBody):
         return all_columns
 
     def _iteration(self, snapshot_id: int, first: bool) -> None:
+        def begin_first(columns: List[str]):
+            self._qq_width = len(columns)
+            self._create_result_table(
+                list(columns) + [self.START_COLUMN, self.END_COLUMN])
+            _, writer = self.db.table_writer(self.table)
+            return lambda row: writer.insert(
+                tuple(row) + (snapshot_id, snapshot_id))
+
         with self.db.transaction():
-            rewritten = rewrite_qq(self.qq, snapshot_id)
-            clock = self.sink.clock
-            current = self.sink.current
-            index_before = current.index_creation_seconds
-            started = clock()
-            columns, rows = self.db.execute_cursor(rewritten)
             if first:
-                self._qq_width = len(columns)
-                self._create_result_table(
-                    list(columns) + [self.START_COLUMN, self.END_COLUMN]
-                )
-            table, writer = self.db.table_writer(self.table)
-            udf = 0.0
-            if first:
-                for row in rows:
-                    current.qq_rows += 1
-                    cb = clock()
-                    writer.insert(tuple(row) + (snapshot_id, snapshot_id))
-                    udf += clock() - cb
-                index_cols = ", ".join(_quote(c) for c in columns)
-                idx_start = clock()
-                self.db.execute(
-                    f"CREATE INDEX {_quote(self.index_name)} ON "
-                    f"{_quote(self.table)} ({index_cols})"
-                )
-                udf += clock() - idx_start
-                current.index_creation_seconds = index_before
+                columns = self._run_qq(snapshot_id, begin_first)
+                self._build_result_index(columns)
             else:
-                udf = self._extend_pass(rows, table, writer, snapshot_id)
-            total = clock() - started
-            index_delta = current.index_creation_seconds - index_before
-            current.udf_seconds += udf
-            current.query_eval_seconds += max(
-                total - udf - index_delta, 0.0,
-            )
+                self._run_qq(snapshot_id,
+                             lambda _columns: self._extend_pass(snapshot_id))
         self._previous_snapshot = snapshot_id
 
-    def _extend_pass(self, rows, table: TableAccess, writer: TableWriter,
-                     snapshot_id: int) -> float:
-        index = next(
-            (ix for ix in writer.indexes
-             if ix.info.name.lower() == self.index_name.lower()),
-            None,
-        )
-        if index is None:
-            raise MechanismError("result-table index vanished")
+    def _extend_pass(self, snapshot_id: int):
+        """Extend the interval ending at the previous snapshot, else
+        open a new one."""
+        table, writer = self.db.table_writer(self.table)
+        index = self._result_index(writer)
         end_position = self._qq_width + 1
         previous = self._previous_snapshot
-        clock = self.sink.clock
-        current = self.sink.current
-        udf = 0.0
-        for row in rows:
-            current.qq_rows += 1
-            cb = clock()
+
+        def extend(row) -> None:
             values = list(row)
-            extended = False
             for rowid in index.lookup_equal(values):
                 stored = table.get(rowid)
                 if stored is not None and stored[end_position] == previous:
                     new_row = list(stored)
                     new_row[end_position] = snapshot_id
                     writer.update(rowid, tuple(new_row))
-                    extended = True
-                    break
-            if not extended:
-                writer.insert(tuple(values) + (snapshot_id, snapshot_id))
-            udf += clock() - cb
-        return udf
+                    return
+            writer.insert(tuple(values) + (snapshot_id, snapshot_id))
+        return extend
 
 
 # ---------------------------------------------------------------------------

@@ -1331,48 +1331,35 @@ class _SelectPlanner:
 def scan_for_modify(table: TableAccess, indexes: List[IndexAccess],
                     where: Optional[ast.Expr],
                     functions: Dict[str, Callable[..., SqlValue]]):
-    """Yield (rowid, row) pairs matching ``where``, via an index when one
-    fits.  Used by DELETE and UPDATE, which must not mutate mid-scan —
-    callers materialize before writing."""
-    bound = BoundTable(binding=table.info.name, access=table,
-                       indexes=indexes)
-    scope = _scope_for([bound])
-    compiler = ExpressionCompiler(scope, functions)
-    predicates = conjuncts(where)
-    for pred in predicates:
-        match = _match_index_equality(pred, bound, scope)
-        if match is not None:
-            index, value = match
-            rest = [compiler.compile(p) for p in predicates if p is not pred]
-
-            def rows_eq():
-                for rowid in index.lookup_equal([value]):
-                    row = table.get(rowid)
-                    if row is not None and \
-                            all(is_true(f(row)) for f in rest):
-                        yield rowid, row
-            return rows_eq()
-    for pred in predicates:
-        match = _match_index_range(pred, bound, scope)
-        if match is not None:
-            index, lo, hi, lo_inc, hi_inc = match
-            rest = [compiler.compile(p) for p in predicates if p is not pred]
-
-            def rows_range():
-                for rowid in index.lookup_range(lo, hi, lo_inclusive=lo_inc,
-                                                hi_inclusive=hi_inc):
-                    row = table.get(rowid)
-                    if row is not None and \
-                            all(is_true(f(row)) for f in rest):
-                        yield rowid, row
-            return rows_range()
-    filters = [compiler.compile(p) for p in predicates]
-
-    def rows_scan():
-        for rowid, row in table.scan():
-            if all(is_true(f(row)) for f in filters):
-                yield rowid, row
-    return rows_scan()
+    """Yield (rowid, row) pairs matching ``where``, through the access
+    path the planner picks for a single table without statistics (its
+    first-match heuristic, so ANALYZE never changes a DML path).  Used
+    by DELETE and UPDATE, which must not mutate mid-scan — callers
+    materialize before writing."""
+    desc = TableDesc(
+        binding=table.info.name, table=table.info.name,
+        columns=table.info.column_names(),
+        indexes=[(ix.info.name, tuple(ix.info.columns)) for ix in indexes],
+    )
+    node, rest = _plan_single_access(desc, conjuncts(where), None)
+    filters = []
+    if rest:
+        compiler = ExpressionCompiler(desc.scope(), functions)
+        filters = [compiler.compile(p) for p in rest]
+    spec = node.access
+    if spec.kind == "scan":
+        pairs = table.scan()
+    else:
+        index = next(ix for ix in indexes if ix.info.name == spec.index)
+        if spec.kind == "eq":
+            rowids = index.lookup_equal([spec.value])
+        else:
+            rowids = index.lookup_range(spec.lo, spec.hi,
+                                        lo_inclusive=spec.lo_inc,
+                                        hi_inclusive=spec.hi_inc)
+        pairs = ((rowid, table.get(rowid)) for rowid in rowids)
+    return ((rowid, row) for rowid, row in pairs
+            if row is not None and all(is_true(f(row)) for f in filters))
 
 
 # ---------------------------------------------------------------------------
@@ -1425,70 +1412,8 @@ def _constant_int(expr: Optional[ast.Expr], label: str) -> Optional[int]:
     return int(value)
 
 
-def _match_index_equality(pred: ast.Expr, table: BoundTable, scope: Scope):
-    """index, constant for predicates like col = <constant>."""
-    if not (isinstance(pred, ast.BinaryOp) and pred.op == "="):
-        return None
-    for col_side, val_side in ((pred.left, pred.right),
-                               (pred.right, pred.left)):
-        if isinstance(col_side, ast.ColumnRef) \
-                and scope.try_resolve(col_side) is not None \
-                and _is_comparable_constant(val_side):
-            name = col_side.name.lower()
-            for index in table.indexes:
-                if index.info.columns and \
-                        index.info.columns[0].lower() == name:
-                    return index, _constant_value(val_side)
-    return None
-
-
-def _match_index_range(pred: ast.Expr, table: BoundTable, scope: Scope):
-    """index, lo, hi, lo_inc, hi_inc for range predicates on an index."""
-    ops = {"<": (None, True), "<=": (None, True),
-           ">": (True, None), ">=": (True, None)}
-    if isinstance(pred, ast.Between) and not pred.negated:
-        col = pred.operand
-        if isinstance(col, ast.ColumnRef) \
-                and scope.try_resolve(col) is not None \
-                and _is_comparable_constant(pred.low) \
-                and _is_comparable_constant(pred.high):
-            index = _leading_index(table, col.name)
-            if index is not None:
-                return (index, [_constant_value(pred.low)],
-                        [_constant_value(pred.high)], True, True)
-        return None
-    if not (isinstance(pred, ast.BinaryOp) and pred.op in ops):
-        return None
-    for col_side, val_side, op in (
-            (pred.left, pred.right, pred.op),
-            (pred.right, pred.left, _flip(pred.op))):
-        if isinstance(col_side, ast.ColumnRef) \
-                and scope.try_resolve(col_side) is not None \
-                and _is_comparable_constant(val_side):
-            index = _leading_index(table, col_side.name)
-            if index is None:
-                return None
-            value = [_constant_value(val_side)]
-            if op == "<":
-                return index, None, value, True, False
-            if op == "<=":
-                return index, None, value, True, True
-            if op == ">":
-                return index, value, None, False, True
-            return index, value, None, True, True
-    return None
-
-
 def _flip(op: str) -> str:
     return {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
-
-
-def _leading_index(table: BoundTable, column: str) -> Optional[IndexAccess]:
-    lowered = column.lower()
-    for index in table.indexes:
-        if index.info.columns and index.info.columns[0].lower() == lowered:
-            return index
-    return None
 
 
 def _filtered(rows: Iterator[Row], filters) -> Iterator[Row]:

@@ -330,6 +330,47 @@ def test_merge_purity_covers_inputs_and_side_effects():
     assert "Session" in by_symbol["CountingAggregate.merge"]
 
 
+FOLD_MERGE_MUTANTS = {
+    "ConcatFold.merge": (
+        "        self.batches.extend(later.batches)\n",
+        "        self.batches.extend(later.batches)\n"
+        "        later.batches.clear()\n",
+    ),
+    "StoredRowFold.merge": (
+        "        self.changed = self.changed or bool(later.rows)\n",
+        "        self.changed = self.changed or bool(later.rows)\n"
+        "        later.by_key.clear()\n",
+    ),
+    "IntervalFold.merge": (
+        "        self.last_sid = later.last_sid\n",
+        "        self.last_sid = later.last_sid\n"
+        "        later.last_sid = None\n",
+    ),
+}
+
+
+def _folds_source() -> str:
+    from repro.analysis.driver import package_root
+    return (package_root() / "core/folds.py").read_text(encoding="utf-8")
+
+
+def test_fold_merges_are_pure_solo():
+    assert analyze_source(_folds_source(), "core/folds.py") == []
+
+
+@pytest.mark.parametrize("symbol", sorted(FOLD_MERGE_MUTANTS))
+def test_impure_fold_merge_is_caught(symbol):
+    # Seeded mutant of the real module: a merge that consumes the later
+    # range's fold instead of folding into self.
+    source = _folds_source()
+    target, replacement = FOLD_MERGE_MUTANTS[symbol]
+    assert source.count(target) == 1, "mutation target moved"
+    findings = analyze_source(source.replace(target, replacement),
+                              "core/folds.py")
+    assert [(f.rule, f.symbol) for f in findings] == [("RPL023", symbol)]
+    assert "mutates its input 'later'" in findings[0].message
+
+
 RPL023_CALLER_ONLY = (
     "class CrossSnapshotAggregate:\n"
     "    def __init__(self):\n"

@@ -14,6 +14,8 @@ bit-for-bit, matching the differential harness's reasoning.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -59,6 +61,24 @@ def test_merge_of_partial_folds_equals_single_fold(name, left, right):
     merged.merge(_fold(name, right))
     whole = _fold(name, left + right)
     assert _eq(merged.result(), whole.result())
+
+
+@pytest.mark.parametrize("name", sorted(_FACTORIES))
+@SETTINGS
+@given(left=value_lists, right=value_lists)
+def test_restored_dump_then_fold_equals_single_fold(name, left, right):
+    # A view persists dump() as JSON and resumes folding from it.
+    payload = json.loads(json.dumps(_fold(name, left).dump()))
+    resumed = make_cross_snapshot_aggregate(name)
+    resumed.restore(payload)
+    for item in right:
+        resumed.absorb(item)
+    assert _eq(resumed.result(), _fold(name, left + right).result())
+
+
+@pytest.mark.parametrize("name", ("min", "max"))
+def test_dump_refuses_values_json_cannot_round_trip(name):
+    assert _fold(name, [b"\x00blob"]).dump() is None
 
 
 @pytest.mark.parametrize("name", MONOID_AGGREGATES)

@@ -47,6 +47,18 @@ class TestCrossover:
         assert "SCAN big" in notes
         assert any("via seq scan" in n for n in notes)
 
+    def test_dml_keeps_the_heuristic_path_after_analyze(self, scaled,
+                                                        monkeypatch):
+        # SELECT flips to a scan on the wide range; DELETE locates rows
+        # with the same matcher but never costs, so it stays on the index.
+        from repro.sql.executor import TableAccess
+
+        def no_scan(self):
+            raise AssertionError("DELETE scanned the table")
+        monkeypatch.setattr(TableAccess, "scan", no_scan)
+        result = scaled.execute("DELETE FROM big WHERE k BETWEEN 10 AND 400")
+        assert result.rowcount == 391
+
     def test_unfiltered_scan_estimates_full_table(self, scaled):
         (line,) = [n for n in explain(scaled, "SELECT k FROM big")
                    if n.startswith("COST:")]
