@@ -17,7 +17,8 @@ A corpus file is plain SQL annotated with ``-- rqlint:`` comments:
       SELECT DISTINCT l_userid, current_snapshot() FROM LoggedIn;
 
   ``arg="sum"`` supplies an AggregateDataInVariable aggregate,
-  ``arg="online:sum,flags:count"`` an AggregateDataInTable pair list;
+  ``arg="online:sum,flags:count"`` (or the paper's
+  ``"(online,sum):(flags,count)"``) an AggregateDataInTable pair list;
 * **pragmas** suppress rules for the enclosing case (or, before any
   case, for the whole file) and must justify themselves after ``--``,
   mirroring replint's RPL000 convention::
@@ -86,21 +87,6 @@ class _Case:
         return "\n".join(self.qq_lines).strip().rstrip(";").strip()
 
 
-def _parse_arg(text: str) -> object:
-    """Directive ``arg=`` value -> mechanism argument.
-
-    ``"sum"`` stays a string (AggregateDataInVariable); a ``:`` turns it
-    into a pair list (``"online:sum,flags:count"``).
-    """
-    if ":" not in text:
-        return text
-    pairs = []
-    for chunk in text.split(","):
-        column, _, func = chunk.partition(":")
-        pairs.append((column.strip(), func.strip()))
-    return pairs
-
-
 def _parse_pragma_rules(directive: str) -> Set[str]:
     rules: Set[str] = set()
     ignore = _IGNORE_RE.search(directive)
@@ -145,9 +131,8 @@ class _SqlCorpus:
             self._finding(
                 lineno, "rqlint case directive is missing qs=\"...\"",
                 hint='-- rqlint: mechanism=CollateData qs="SELECT ..."')
-        arg = _parse_arg(fields["arg"]) if "arg" in fields else None
         self.cases.append(_Case(
-            lineno, mechanism, qs, arg,
+            lineno, mechanism, qs, fields.get("arg"),
             fields.get("name", f"case@{lineno}"),
         ))
 

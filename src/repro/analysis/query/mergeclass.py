@@ -26,9 +26,10 @@ bounds of the Qs — the inputs ROADMAP's incremental-view and
 cost-planner work need.  Diagnostics RQL100-106 ride along as
 :class:`~repro.analysis.findings.Finding` objects.
 
-The merge-class literals and the mechanism -> class map live beside
-the folds that implement them (:mod:`repro.core.folds`) and are
-re-exported here.  ``repro.core.parallel.ParallelExecutor`` consumes
+The merge-class literals live beside the folds that implement them
+(:mod:`repro.core.folds`) and are re-exported here; each mechanism's
+class is its row in the :data:`repro.core.mechanisms.MECHANISMS`
+registry.  ``repro.core.parallel.ParallelExecutor`` consumes
 the certificate: it picks its fold *by merge class* and raises
 ``MechanismError`` for ``serial-only`` (or a class that does not match
 the mechanism), so a wrong certificate cannot silently merge wrong.
@@ -44,11 +45,11 @@ from repro.analysis.findings import ERROR, WARNING, Finding
 from repro.core.folds import (  # noqa: F401  (re-exported)
     CONCAT,
     INTERVAL_STITCH,
-    MECHANISM_CLASSES,
     MONOID,
     SERIAL_ONLY,
     STORED_ROW,
 )
+from repro.core.mechanisms import resolve
 from repro.sql import ast
 from repro.sql.parser import parse_sql
 from repro.sql.semantic import (
@@ -113,11 +114,9 @@ class _Certifier:
     def __init__(self, mechanism: str, qs: str, qq: str,
                  schema: Optional[SchemaProvider],
                  file: str, line: int, symbol: str) -> None:
-        canonical = mechanism.replace("_", "").lower()
-        if canonical not in MECHANISM_CLASSES:
-            raise AggregateError(f"unknown RQL mechanism {mechanism!r}")
+        #: the registry row; ``mechanism`` keeps the caller's spelling
+        self.row = resolve(mechanism, AggregateError)
         self.mechanism = mechanism
-        self.canonical = canonical
         self.qs = qs
         self.qq = qq
         self.schema = schema
@@ -250,13 +249,9 @@ class _Certifier:
     # -- mechanism arguments -----------------------------------------------
 
     def certify_argument(self, arg, summary: Optional[QuerySummary]) -> None:
-        from repro.core.aggregates import (
-            make_cross_snapshot_aggregate,
-            parse_col_func_pairs,
-        )
-        if self.canonical == "aggregatedatainvariable":
+        if self.row.merge_class == MONOID:
             try:
-                make_cross_snapshot_aggregate(str(arg))
+                self.row.check(str(arg))
             except AggregateError as exc:
                 self.refuse(
                     "RQL101",
@@ -268,9 +263,9 @@ class _Certifier:
                     "RQL100", ERROR,
                     f"AggregateDataInVariable needs a single-column Qq, "
                     f"found {len(summary.outputs)} columns")
-        elif self.canonical == "aggregatedataintable":
+        elif self.row.merge_class == STORED_ROW:
             try:
-                pairs = parse_col_func_pairs(arg)
+                pairs = self.row.check(arg)
             except AggregateError as exc:
                 self.refuse(
                     "RQL102",
@@ -295,7 +290,7 @@ class _Certifier:
         summary = self.certify_qq()
         self.certify_argument(arg, summary)
         merge_class = (SERIAL_ONLY if self.serial_only
-                       else MECHANISM_CLASSES[self.canonical])
+                       else self.row.merge_class)
         certificate = MergeCertificate(
             mechanism=self.mechanism,
             merge_class=merge_class,

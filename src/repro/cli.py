@@ -45,6 +45,7 @@ import time
 from typing import IO, List, Optional
 
 from repro.core import RQLSession
+from repro.core.mechanisms import resolve
 from repro.errors import ReproError
 from repro.sql.executor import ResultSet
 from repro.sql.types import value_repr
@@ -252,17 +253,10 @@ class Shell:
             self.write(usage)
             return
         mechanism, rest = args[0], list(args[1:])
-        arg: object = None
-        canonical = mechanism.replace("_", "").lower()
-        if canonical in ("aggregatedatainvariable",
-                         "aggregatedataintable") \
-                and rest and rest[0].upper() != "SELECT":
-            text = rest.pop(0)
-            if ":" in text:
-                arg = [tuple(chunk.split(":", 1))
-                       for chunk in text.split(",")]
-            else:
-                arg = text
+        arg = None
+        if resolve(mechanism).takes_arg and rest \
+                and rest[0].upper() != "SELECT":
+            arg = rest.pop(0)
         qq = " ".join(rest).rstrip(";")
         if not qq:
             self.write(usage)

@@ -9,13 +9,7 @@ from repro.core.aggregates import (
     merge_stored_value,
     parse_col_func_pairs,
 )
-from repro.core.mechanisms import (
-    RQLResult,
-    aggregate_data_in_table,
-    aggregate_data_in_variable,
-    collate_data,
-    collate_data_into_intervals,
-)
+from repro.core.mechanisms import RQLResult
 from repro.core.parallel import (
     ParallelExecutor,
     ParallelRunInfo,
@@ -39,11 +33,7 @@ __all__ = [
     "SortMergeAggregateDataInTableRun",
     "sort_merge_aggregate_data_in_table",
     "SnapIds",
-    "aggregate_data_in_table",
-    "aggregate_data_in_variable",
     "binary_op",
-    "collate_data",
-    "collate_data_into_intervals",
     "identity_element",
     "make_cross_snapshot_aggregate",
     "merge_avg_stored",

@@ -185,8 +185,9 @@ _FACTORIES: Dict[str, Callable[[], CrossSnapshotAggregate]] = {
 
 
 def make_cross_snapshot_aggregate(name: str) -> CrossSnapshotAggregate:
-    """Build an aggregate state; rejects non-monoid aggregate names."""
-    key = name.strip().lower()
+    """Build an aggregate state; rejects non-monoid aggregate names (and
+    anything that is not a name at all)."""
+    key = name.strip().lower() if isinstance(name, str) else None
     if key in ("count distinct", "count_distinct", "sum distinct",
                "sum_distinct", "distinct"):
         raise AggregateError(f"{name!r} {_REJECTED_HINT}")
@@ -287,27 +288,34 @@ def merge_avg_stored(earlier_visible: SqlValue, earlier_sum: SqlValue,
 def parse_col_func_pairs(spec) -> Tuple[Tuple[str, str], ...]:
     """Normalize ListOfColFuncPairs.
 
-    Accepts a list of (column, func) tuples, or the paper's string form
-    ``"(l_time,min)"`` / ``"(MAX,cn):(MAX,av)"`` — the paper writes both
-    orders, so when exactly one element names a known aggregate it is
-    taken as the function regardless of position.
+    Accepts a list of (column, func) pairs (JSON lists included), the
+    paper's string form ``"(l_time,min)"`` / ``"(MAX,cn):(MAX,av)"``, or
+    the shorthand ``"cn:sum,av:max"`` (the paper form whenever the text
+    contains ``(``).  The paper writes both orders inside a pair, so
+    when exactly one element names a known aggregate it is taken as the
+    function regardless of position.  Anything else raises
+    :class:`~repro.errors.AggregateError`.
     """
     if isinstance(spec, str):
-        pairs = []
-        for chunk in spec.split(":"):
-            chunk = chunk.strip()
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise AggregateError(
-                    f"bad ListOfColFuncPairs element {chunk!r}"
-                )
-            parts = [p.strip() for p in chunk[1:-1].split(",")]
-            if len(parts) != 2:
-                raise AggregateError(
-                    f"bad ListOfColFuncPairs element {chunk!r}"
-                )
-            pairs.append(tuple(parts))
+        if "(" in spec:  # the paper form: (col,func):(col,func)
+            chunks = [c.strip() for c in spec.split(":")]
+            pairs = [c[1:-1].split(",") if c.startswith("(")
+                     and c.endswith(")") else [c] for c in chunks]
+        else:  # the shorthand: col:func,col:func
+            chunks = [c.strip() for c in spec.split(",")]
+            pairs = [c.split(":") for c in chunks]
+        pairs = [[part.strip() for part in pair] for pair in pairs]
     else:
-        pairs = [tuple(p) for p in spec]
+        try:
+            chunks = pairs = list(spec)
+        except TypeError:
+            raise AggregateError(
+                f"ListOfColFuncPairs must be text or a list of pairs, "
+                f"got {spec!r}") from None
+    for chunk, pair in zip(chunks, pairs):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 \
+                or not all(isinstance(part, str) for part in pair):
+            raise AggregateError(f"bad ListOfColFuncPairs element {chunk!r}")
     normalized = []
     for first, second in pairs:
         first_is_func = first.lower() in SUPPORTED_AGGREGATES

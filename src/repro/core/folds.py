@@ -72,14 +72,6 @@ STORED_ROW = "stored-row"
 INTERVAL_STITCH = "interval-stitch"
 SERIAL_ONLY = "serial-only"
 
-#: canonical mechanism name (lowered) -> merge class when certified
-MECHANISM_CLASSES: Dict[str, str] = {
-    "collatedata": CONCAT,
-    "aggregatedatainvariable": MONOID,
-    "aggregatedataintable": STORED_ROW,
-    "collatedataintointervals": INTERVAL_STITCH,
-}
-
 #: CollateDataIntoIntervals' lifetime columns, after the Qq columns
 START_COLUMN = "start_snapshot"
 END_COLUMN = "end_snapshot"

@@ -17,18 +17,33 @@ iteration:
 Result tables default to the non-snapshotable aux database (the paper's
 "temporary non-snapshotable table"); ``persistent=True`` places them in
 the snapshotable main database instead.
+
+:data:`MECHANISMS` is the one registry of the four: every surface (the
+session's methods and SQL UDF forms, the server, materialized views,
+rqlint, the shell) resolves a name with :func:`resolve` and checks the
+argument with :meth:`Mechanism.check`;
+:func:`repro.core.parallel.run_mechanism` dispatches a checked call to
+the serial loop body or the parallel executor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import MechanismError, QueryCancelled
-from repro.core.aggregates import CrossSnapshotAggregate, parse_col_func_pairs
+from repro.core.aggregates import (
+    CrossSnapshotAggregate,
+    make_cross_snapshot_aggregate,
+    parse_col_func_pairs,
+)
 from repro.core.folds import (
+    CONCAT,
     END_COLUMN,
+    INTERVAL_STITCH,
+    MONOID,
     START_COLUMN,
+    STORED_ROW,
     MonoidFold,
     TableAggregateSchema,
     result_index_name,
@@ -458,34 +473,79 @@ class CollateDataIntoIntervalsRun(_LoopBody):
 
 
 # ---------------------------------------------------------------------------
-# Convenience entry points (the paper's Section 2 call forms)
+# The mechanism registry: every surface resolves, checks and dispatches here
 # ---------------------------------------------------------------------------
 
-def collate_data(db: Database, qs: str, qq: str, table: str,
-                 persistent: bool = False) -> RQLResult:
-    """CollateData(Qs, Qq, T)."""
-    return CollateDataRun(db, qq, table, persistent).run(qs)
+@dataclass(frozen=True)
+class Mechanism:
+    """One of the paper's four mechanisms, as every surface sees it.
+
+    ``name`` is the canonical CamelCase spelling (certificates, SQL UDF
+    forms, view metadata); ``method`` the snake_case method that
+    :class:`~repro.core.session.RQLSession`, :class:`~repro.core.
+    parallel.ParallelExecutor` and the server's client handle expose;
+    ``merge_class`` the rqlint class a mergeable certificate carries;
+    ``run_class`` the serial Section 3 loop body; ``arg_check`` validates
+    the fourth argument (None for the mechanisms that take none).
+    """
+
+    name: str
+    method: str
+    merge_class: str
+    run_class: type
+    arg_check: Optional[Callable[[object], object]] = None
+
+    @property
+    def takes_arg(self) -> bool:
+        return self.arg_check is not None
+
+    def check(self, arg):
+        """Raise :class:`~repro.errors.AggregateError` for a bad argument,
+        before any side effect; returns the parsed argument."""
+        if self.arg_check is None:
+            return None
+        return self.arg_check(arg)
+
+    def serial(self, db: Database, qq: str, table: str, arg=None,
+               persistent: bool = False) -> _LoopBody:
+        """The serial loop body for one invocation."""
+        args = (arg,) if self.takes_arg else ()
+        return self.run_class(db, qq, table, *args, persistent)
 
 
-def aggregate_data_in_variable(db: Database, qs: str, qq: str, table: str,
-                               agg_func: str,
-                               persistent: bool = False) -> RQLResult:
-    """AggregateDataInVariable(Qs, Qq, T, AggFunc)."""
-    return AggregateDataInVariableRun(
-        db, qq, table, agg_func, persistent,
-    ).run(qs)
+COLLATE_DATA = Mechanism("CollateData", "collate_data", CONCAT,
+                         CollateDataRun)
+AGGREGATE_DATA_IN_VARIABLE = Mechanism(
+    "AggregateDataInVariable", "aggregate_data_in_variable", MONOID,
+    AggregateDataInVariableRun, make_cross_snapshot_aggregate)
+AGGREGATE_DATA_IN_TABLE = Mechanism(
+    "AggregateDataInTable", "aggregate_data_in_table", STORED_ROW,
+    AggregateDataInTableRun, parse_col_func_pairs)
+COLLATE_DATA_INTO_INTERVALS = Mechanism(
+    "CollateDataIntoIntervals", "collate_data_into_intervals",
+    INTERVAL_STITCH, CollateDataIntoIntervalsRun)
+
+MECHANISMS: Tuple[Mechanism, ...] = (
+    COLLATE_DATA, AGGREGATE_DATA_IN_VARIABLE, AGGREGATE_DATA_IN_TABLE,
+    COLLATE_DATA_INTO_INTERVALS,
+)
+
+_BY_KEY = {mechanism.name.lower(): mechanism for mechanism in MECHANISMS}
 
 
-def aggregate_data_in_table(db: Database, qs: str, qq: str, table: str,
-                            col_func_pairs,
-                            persistent: bool = False) -> RQLResult:
-    """AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)."""
-    return AggregateDataInTableRun(
-        db, qq, table, col_func_pairs, persistent,
-    ).run(qs)
+def resolve(name, error: type = MechanismError) -> Mechanism:
+    """The mechanism ``name`` spells, in any case, with or without
+    underscores (``CollateData``, ``collate_data``, ``COLLATEDATA``).
 
-
-def collate_data_into_intervals(db: Database, qs: str, qq: str, table: str,
-                                persistent: bool = False) -> RQLResult:
-    """CollateDataIntoIntervals(Qs, Qq, T)."""
-    return CollateDataIntoIntervalsRun(db, qq, table, persistent).run(qs)
+    An unknown name raises ``error`` — each surface keeps the error type
+    its callers already handle.
+    """
+    mechanism = None
+    if isinstance(name, str):
+        mechanism = _BY_KEY.get(name.replace("_", "").strip().lower())
+    if mechanism is None:
+        raise error(
+            f"unknown mechanism {name!r}; one of "
+            f"{', '.join(m.name for m in MECHANISMS)}"
+        )
+    return mechanism

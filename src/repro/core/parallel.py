@@ -49,20 +49,24 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.aggregates import (
-    make_cross_snapshot_aggregate,
-    parse_col_func_pairs,
-)
 from repro.core.folds import (
     CONCAT,
     INTERVAL_STITCH,
-    MECHANISM_CLASSES,
     Emitted,
     Fold,
     new_fold,
     result_index_name,
 )
-from repro.core.mechanisms import RQLResult, _quote, _result_table_stats
+from repro.core.mechanisms import (
+    AGGREGATE_DATA_IN_TABLE,
+    AGGREGATE_DATA_IN_VARIABLE,
+    COLLATE_DATA,
+    COLLATE_DATA_INTO_INTERVALS,
+    Mechanism,
+    RQLResult,
+    _quote,
+    _result_table_stats,
+)
 from repro.core.rewrite import rewrite_qq, validate_qs
 from repro.errors import MechanismError, QueryCancelled
 from repro.retro.metrics import MetricsSink
@@ -293,7 +297,7 @@ class ParallelExecutor:
         return certify_mechanism(mechanism, qs, qq, arg=arg,
                                  schema=CatalogSchema(self.db))
 
-    def _admit(self, mechanism: str, qs: str, qq: str, arg,
+    def _admit(self, mechanism: Mechanism, qs: str, qq: str, arg,
                certificate) -> str:
         """The merge class to fold by, taken from the certificate.
 
@@ -303,15 +307,15 @@ class ParallelExecutor:
         certificate's diagnostics instead of silently merged wrong.
         """
         cert = certificate if certificate is not None \
-            else self.certify(mechanism, qs, qq, arg)
-        expected = MECHANISM_CLASSES[mechanism.replace("_", "").lower()]
+            else self.certify(mechanism.name, qs, qq, arg)
+        expected = mechanism.merge_class
         if cert.merge_class != expected:
             reasons = "; ".join(
                 f"{f.rule}: {f.message}" for f in cert.errors
             ) or (f"certified merge class {cert.merge_class!r}, "
-                  f"{mechanism} merges by {expected!r}")
+                  f"{mechanism.name} merges by {expected!r}")
             raise MechanismError(
-                f"rqlint refuses parallel execution of {mechanism}: "
+                f"rqlint refuses parallel execution of {mechanism.name}: "
                 f"{reasons}"
             )
         return cert.merge_class
@@ -322,7 +326,7 @@ class ParallelExecutor:
                      persistent: bool = False,
                      certificate=None) -> RQLResult:
         """Parallel CollateData(Qs, Qq, T)."""
-        return self._run_fold("CollateData", qs, qq, None, table,
+        return self._run_fold(COLLATE_DATA, qs, qq, None, table,
                               persistent, certificate)
 
     def aggregate_data_in_variable(self, qs: str, qq: str, table: str,
@@ -330,8 +334,7 @@ class ParallelExecutor:
                                    persistent: bool = False,
                                    certificate=None) -> RQLResult:
         """Parallel AggregateDataInVariable(Qs, Qq, T, AggFunc)."""
-        make_cross_snapshot_aggregate(agg_func)  # validate before threading
-        return self._run_fold("AggregateDataInVariable", qs, qq, agg_func,
+        return self._run_fold(AGGREGATE_DATA_IN_VARIABLE, qs, qq, agg_func,
                               table, persistent, certificate)
 
     def aggregate_data_in_table(self, qs: str, qq: str, table: str,
@@ -339,22 +342,21 @@ class ParallelExecutor:
                                 persistent: bool = False,
                                 certificate=None) -> RQLResult:
         """Parallel AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)."""
-        parse_col_func_pairs(col_func_pairs)  # validate before threading
-        return self._run_fold("AggregateDataInTable", qs, qq,
-                              col_func_pairs, table, persistent,
-                              certificate)
+        return self._run_fold(AGGREGATE_DATA_IN_TABLE, qs, qq,
+                              col_func_pairs, table, persistent, certificate)
 
     def collate_data_into_intervals(self, qs: str, qq: str, table: str,
                                     persistent: bool = False,
                                     certificate=None) -> RQLResult:
         """Parallel CollateDataIntoIntervals(Qs, Qq, T)."""
-        return self._run_fold("CollateDataIntoIntervals", qs, qq, None,
+        return self._run_fold(COLLATE_DATA_INTO_INTERVALS, qs, qq, None,
                               table, persistent, certificate)
 
-    def _run_fold(self, mechanism: str, qs: str, qq: str, arg, table: str,
-                  persistent: bool, certificate) -> RQLResult:
+    def _run_fold(self, mechanism: Mechanism, qs: str, qq: str, arg,
+                  table: str, persistent: bool, certificate) -> RQLResult:
         """Step one fold per contiguous partition on the workers, then
         merge the folds in partition order and write the result."""
+        mechanism.check(arg)  # validate before threading
         self._check_idle()
         merge_class = self._admit(mechanism, qs, qq, arg, certificate)
         snapshot_ids = self._snapshot_ids(qs)
@@ -554,6 +556,33 @@ class ParallelExecutor:
             else:
                 result.columns = list(all_columns)
         return result
+
+
+def run_mechanism(db: Database, mechanism: Mechanism, qs: str, qq: str,
+                  table: str, arg=None, persistent: bool = False,
+                  workers: int = 1, pool: Optional[WorkerPool] = None,
+                  cancel: Optional[threading.Event] = None,
+                  certificate=None) -> RQLResult:
+    """Run one mechanism call: the single dispatch every surface uses.
+
+    The argument is checked before any side effect; then the previous
+    result table ``table`` is dropped and the call runs the serial loop
+    body (``workers == 1``) or the executor's public mechanism method
+    (``workers > 1``, on ``pool`` when given).  ``cancel`` reaches both
+    paths.  The serial body meters through a thread-local sink, so
+    concurrent calls over shared engines never cross their metrics.
+    """
+    mechanism.check(arg)
+    db.execute(f"DROP TABLE IF EXISTS {_quote(table)}")
+    if workers > 1:
+        executor = ParallelExecutor(db, workers=workers, pool=pool,
+                                    cancel=cancel)
+        args = (arg,) if mechanism.takes_arg else ()
+        return getattr(executor, mechanism.method)(
+            qs, qq, table, *args, persistent, certificate=certificate)
+    run = mechanism.serial(db, qq, table, arg, persistent)
+    with db.engine.retro.route_metrics(run.sink):
+        return run.run(qs, cancel=cancel)
 
 
 def eval_qq_at(db: Database, qq: str, snapshot_id: int, sink: MetricsSink,

@@ -19,18 +19,21 @@ mechanisms.  Both call forms from the paper work:
 
 from __future__ import annotations
 
+import functools
 import os
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.core.mechanisms import (
-    AggregateDataInTableRun,
-    AggregateDataInVariableRun,
-    CollateDataIntoIntervalsRun,
-    CollateDataRun,
+    AGGREGATE_DATA_IN_TABLE,
+    AGGREGATE_DATA_IN_VARIABLE,
+    COLLATE_DATA,
+    COLLATE_DATA_INTO_INTERVALS,
+    MECHANISMS,
+    Mechanism,
     RQLResult,
 )
-from repro.core.parallel import ParallelExecutor, WorkerPool
+from repro.core.parallel import ParallelExecutor, WorkerPool, run_mechanism
 from repro.core.snapids import SnapIds
 from repro.errors import MechanismError
 from repro.retro.metrics import MetricsSink
@@ -203,13 +206,8 @@ class RQLSession:
                      persistent: bool = False,
                      workers: Optional[int] = None) -> RQLResult:
         """CollateData(Qs, Qq, T)."""
-        self._drop_result_table(table)
-        count = self._effective_workers(workers)
-        if count > 1:
-            return self._executor(count).collate_data(
-                qs, qq, table, persistent,
-            )
-        return CollateDataRun(self.db, qq, table, persistent).run(qs)
+        return self._run(COLLATE_DATA, qs, qq, table, None, persistent,
+                         workers)
 
     def aggregate_data_in_variable(self, qs: str, qq: str, table: str,
                                    agg_func: str,
@@ -217,48 +215,30 @@ class RQLSession:
                                    workers: Optional[int] = None,
                                    ) -> RQLResult:
         """AggregateDataInVariable(Qs, Qq, T, AggFunc)."""
-        self._drop_result_table(table)
-        count = self._effective_workers(workers)
-        if count > 1:
-            return self._executor(count).aggregate_data_in_variable(
-                qs, qq, table, agg_func, persistent,
-            )
-        return AggregateDataInVariableRun(
-            self.db, qq, table, agg_func, persistent,
-        ).run(qs)
+        return self._run(AGGREGATE_DATA_IN_VARIABLE, qs, qq, table,
+                         agg_func, persistent, workers)
 
     def aggregate_data_in_table(self, qs: str, qq: str, table: str,
                                 col_func_pairs,
                                 persistent: bool = False,
                                 workers: Optional[int] = None) -> RQLResult:
         """AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)."""
-        self._drop_result_table(table)
-        count = self._effective_workers(workers)
-        if count > 1:
-            return self._executor(count).aggregate_data_in_table(
-                qs, qq, table, col_func_pairs, persistent,
-            )
-        return AggregateDataInTableRun(
-            self.db, qq, table, col_func_pairs, persistent,
-        ).run(qs)
+        return self._run(AGGREGATE_DATA_IN_TABLE, qs, qq, table,
+                         col_func_pairs, persistent, workers)
 
     def collate_data_into_intervals(self, qs: str, qq: str, table: str,
                                     persistent: bool = False,
                                     workers: Optional[int] = None,
                                     ) -> RQLResult:
         """CollateDataIntoIntervals(Qs, Qq, T)."""
-        self._drop_result_table(table)
-        count = self._effective_workers(workers)
-        if count > 1:
-            return self._executor(count).collate_data_into_intervals(
-                qs, qq, table, persistent,
-            )
-        return CollateDataIntoIntervalsRun(
-            self.db, qq, table, persistent,
-        ).run(qs)
+        return self._run(COLLATE_DATA_INTO_INTERVALS, qs, qq, table, None,
+                         persistent, workers)
 
-    def _executor(self, workers: int) -> ParallelExecutor:
-        return ParallelExecutor(self.db, workers=workers, pool=self.pool)
+    def _run(self, mechanism: Mechanism, qs: str, qq: str, table: str,
+             arg, persistent: bool, workers: Optional[int]) -> RQLResult:
+        return run_mechanism(self.db, mechanism, qs, qq, table, arg,
+                             persistent, self._effective_workers(workers),
+                             pool=self.pool)
 
     def certify(self, mechanism: str, qs: str, qq: str, arg=None):
         """rqlint merge certificate for one mechanism invocation.
@@ -268,8 +248,7 @@ class RQLSession:
         parallel executor consumes.  See
         :mod:`repro.analysis.query.mergeclass`.
         """
-        return self._executor(max(self.workers, 1)).certify(
-            mechanism, qs, qq, arg)
+        return ParallelExecutor(self.db).certify(mechanism, qs, qq, arg)
 
     def _drop_result_table(self, table: str) -> None:
         self.db.execute(f'DROP TABLE IF EXISTS "{table}"')
@@ -306,23 +285,9 @@ class RQLSession:
         reset whenever the result table is absent, so consecutive
         queries reusing the same table name start fresh.
         """
-        self.db.register_function("CollateData", self._udf_collate)
-        self.db.register_function("AggregateDataInVariable",
-                                  self._udf_agg_variable)
-        self.db.register_function("AggregateDataInTable",
-                                  self._udf_agg_table)
-        self.db.register_function("CollateDataIntoIntervals",
-                                  self._udf_intervals)
-
-    def _udf_run(self, key: Tuple[str, str, str], factory):
-        run = self._udf_runs.get(key)
-        if run is None:
-            run = factory()
-            prior = self.db.metrics
-            if prior is None:
-                self.db.attach_metrics(run.sink)
-            self._udf_runs[key] = run
-        return run
+        for mechanism in MECHANISMS:
+            self.db.register_function(
+                mechanism.name, functools.partial(self._udf, mechanism))
 
     def reset_udf_state(self) -> None:
         """Forget per-(mechanism, Qq, T) UDF loop state."""
@@ -333,44 +298,19 @@ class RQLSession:
         run = self._udf_runs.get((mechanism, qq, table))
         return run.sink if run is not None else None  # type: ignore[union-attr]
 
-    def _udf_collate(self, snap_id, qq, table):
-        run = self._udf_run(
-            ("CollateData", str(qq), str(table)),
-            lambda: CollateDataRun(self.db, str(qq), str(table)),
-        )
+    def _udf(self, mechanism: Mechanism, snap_id, qq, table, arg=None):
+        """``Mechanism(snap_id, 'Qq', 'T'[, arg])``: one iteration."""
+        key = (mechanism.name, str(qq), str(table))
+        run = self._udf_runs.get(key)
+        if run is None:
+            run = mechanism.serial(self.db, str(qq), str(table), arg)
+            if self.db.metrics is None:
+                self.db.attach_metrics(run.sink)
+            self._udf_runs[key] = run
         run.iteration(int(snap_id))
-        return snap_id
-
-    def _udf_agg_variable(self, snap_id, qq, table, agg_func):
-        run = self._udf_run(
-            ("AggregateDataInVariable", str(qq), str(table)),
-            lambda: AggregateDataInVariableRun(
-                self.db, str(qq), str(table), str(agg_func),
-            ),
-        )
-        run.iteration(int(snap_id))
-        # The UDF form cannot observe end-of-query, so refresh the
-        # result table after every iteration (idempotent).
-        self.db.execute(f'DROP TABLE IF EXISTS "{table}"')
-        run.finalize()
-        return snap_id
-
-    def _udf_agg_table(self, snap_id, qq, table, col_func_pairs):
-        run = self._udf_run(
-            ("AggregateDataInTable", str(qq), str(table)),
-            lambda: AggregateDataInTableRun(
-                self.db, str(qq), str(table), col_func_pairs,
-            ),
-        )
-        run.iteration(int(snap_id))
-        return snap_id
-
-    def _udf_intervals(self, snap_id, qq, table):
-        run = self._udf_run(
-            ("CollateDataIntoIntervals", str(qq), str(table)),
-            lambda: CollateDataIntoIntervalsRun(
-                self.db, str(qq), str(table),
-            ),
-        )
-        run.iteration(int(snap_id))
+        if mechanism is AGGREGATE_DATA_IN_VARIABLE:
+            # The UDF form cannot observe end-of-query, so refresh the
+            # result table after every iteration (idempotent).
+            self.db.execute(f'DROP TABLE IF EXISTS "{table}"')
+            run.finalize()
         return snap_id

@@ -50,19 +50,14 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.aggregates import (
-    make_cross_snapshot_aggregate,
-    parse_col_func_pairs,
-)
 from repro.core.folds import (
-    MECHANISM_CLASSES,
     SERIAL_ONLY,
     Emitted,
     Fold,
     new_fold,
     result_index_name,
 )
-from repro.core.mechanisms import _quote
+from repro.core.mechanisms import _quote, resolve
 from repro.core.parallel import eval_qq_at
 from repro.core.rewrite import references_current_snapshot, rewrite_qq
 from repro.errors import (
@@ -79,29 +74,9 @@ VIEWS_TABLE = "__rql_views"
 #: input; the actual refresh iterates 1..target directly).
 VIEW_QS = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
 
-_CANONICAL_MECHANISMS = {
-    "collatedata": "CollateData",
-    "aggregatedatainvariable": "AggregateDataInVariable",
-    "aggregatedataintable": "AggregateDataInTable",
-    "collatedataintointervals": "CollateDataIntoIntervals",
-}
-
-_ARG_MECHANISMS = ("AggregateDataInVariable", "AggregateDataInTable")
-
 
 def _escape(text: str) -> str:
     return text.replace("'", "''")
-
-
-def _canonical_mechanism(name: str) -> str:
-    canonical = _CANONICAL_MECHANISMS.get(
-        name.replace("_", "").strip().lower())
-    if canonical is None:
-        raise ViewError(
-            f"unknown mechanism {name!r}; materialized views support "
-            f"{', '.join(sorted(_CANONICAL_MECHANISMS.values()))}"
-        )
-    return canonical
 
 
 @dataclass
@@ -247,15 +222,13 @@ class ViewManager:
                cancel=None) -> Optional[RefreshReport]:
         """Create the view and run its initial (full) build atomically."""
         self._ensure_usable()
-        mech = _canonical_mechanism(mechanism)
-        if mech in _ARG_MECHANISMS and arg is None:
+        row = resolve(mechanism, ViewError)
+        mech = row.name
+        if row.takes_arg and arg is None:
             raise ViewError(f"{mech} requires an aggregate argument")
-        if mech not in _ARG_MECHANISMS and arg is not None:
+        if not row.takes_arg and arg is not None:
             raise ViewError(f"{mech} takes no aggregate argument")
-        if mech == "AggregateDataInVariable":
-            make_cross_snapshot_aggregate(arg)
-        elif mech == "AggregateDataInTable":
-            parse_col_func_pairs(arg)
+        row.check(arg)
         rewrite_qq(qq, 1)  # fail fast on a malformed Qq
         with self.db.write_lock():
             views = self._load_all()
@@ -384,7 +357,7 @@ class ViewManager:
         # mechanism's merge class.  A serial-only view still folds by
         # its mechanism's shape: the decision ladder has already forced
         # a full recompute, where one fold replays the serial loop.
-        merge_class = MECHANISM_CLASSES[meta.mechanism.lower()]
+        merge_class = resolve(meta.mechanism).merge_class
         fold = new_fold(merge_class, meta.arg)
         if mode != "full" and not fold.restore(
                 meta.built_from, lambda: self._scan_table(meta.name),

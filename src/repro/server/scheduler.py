@@ -36,28 +36,11 @@ import threading
 from typing import Dict, List, Optional
 
 from repro.core import RQLSession
-from repro.core.mechanisms import (
-    AggregateDataInTableRun,
-    AggregateDataInVariableRun,
-    CollateDataIntoIntervalsRun,
-    CollateDataRun,
-    RQLResult,
-)
-from repro.core.parallel import ParallelExecutor
+from repro.core.mechanisms import RQLResult, resolve
+from repro.core.parallel import run_mechanism
 from repro.errors import QueryCancelled, ReproError, ServerError
 
 from repro.server.store import SharedStore
-
-#: mechanism name -> (certificate name, serial run class, takes an arg)
-_MECHANISMS = {
-    "collate_data": ("CollateData", CollateDataRun, False),
-    "aggregate_data_in_variable": (
-        "AggregateDataInVariable", AggregateDataInVariableRun, True),
-    "aggregate_data_in_table": (
-        "AggregateDataInTable", AggregateDataInTableRun, True),
-    "collate_data_into_intervals": (
-        "CollateDataIntoIntervals", CollateDataIntoIntervalsRun, False),
-}
 
 
 class QueryTicket:
@@ -109,12 +92,9 @@ class QueryScheduler:
     def submit(self, session: RQLSession, mechanism: str, qs: str, qq: str,
                table: str, arg: object = None, persistent: bool = False,
                workers: Optional[int] = None) -> QueryTicket:
-        """Run ``mechanism`` asynchronously; returns its ticket."""
-        if mechanism not in _MECHANISMS:
-            raise ServerError(
-                f"unknown mechanism {mechanism!r}; one of "
-                f"{sorted(_MECHANISMS)}"
-            )
+        """Run ``mechanism`` (any spelling) asynchronously; returns its
+        ticket."""
+        mechanism = resolve(mechanism, ServerError).method
         if session.name is None:
             raise ServerError(
                 "scheduler sessions need a name (open them through the "
@@ -231,34 +211,21 @@ class QueryScheduler:
     def _execute(self, session: RQLSession, ticket: QueryTicket, qs: str,
                  qq: str, table: str, arg: object, persistent: bool,
                  workers: Optional[int]) -> RQLResult:
-        from repro.analysis.query.mergeclass import MECHANISM_CLASSES
-
-        cert_name, run_class, takes_arg = _MECHANISMS[ticket.mechanism]
-        db = session.db
+        mechanism = resolve(ticket.mechanism)
         count = session._effective_workers(workers)
-        executor = ParallelExecutor(db, workers=max(count, 1),
-                                    pool=self._store.pool,
-                                    cancel=ticket.cancel)
-        certificate = executor.certify(cert_name, qs, qq, arg)
-        expected = MECHANISM_CLASSES[cert_name.replace("_", "").lower()]
-        session._drop_result_table(table)
+        certificate = session.certify(mechanism.name, qs, qq, arg)
         if ticket.cancel.is_set():
             raise QueryCancelled(
                 f"query over {table!r} cancelled before admission"
             )
-        if count > 1 and certificate.merge_class == expected:
-            ticket.partitioned = True
-            method = getattr(executor, ticket.mechanism)
-            call_args = (qs, qq, table) + ((arg,) if takes_arg else ())
-            return method(*call_args, persistent,
-                          certificate=certificate)
-        # serial-only certificate (or workers == 1): the classic loop,
-        # metered through a thread-local sink so concurrent queries on
-        # the shared engines never cross their metrics.
-        ctor_args = (db, qq, table) + ((arg,) if takes_arg else ())
-        run = run_class(*ctor_args, persistent)
-        with db.engine.retro.route_metrics(run.sink):
-            return run.run(qs, cancel=ticket.cancel)
+        # A serial-only certificate (or workers == 1) runs the classic
+        # loop instead of being refused.
+        ticket.partitioned = count > 1 \
+            and certificate.merge_class == mechanism.merge_class
+        return run_mechanism(
+            session.db, mechanism, qs, qq, table, arg, persistent,
+            count if ticket.partitioned else 1, pool=self._store.pool,
+            cancel=ticket.cancel, certificate=certificate)
 
     def _drop_partial(self, session: RQLSession, table: str) -> None:
         """A cancelled run must not leave a half-built result table."""

@@ -14,8 +14,14 @@ single JSON objects per line::
         "table": "Result"}
     <- {"ok": true, "table": "Result", "rows": 42, "snapshots": [...]}
 
+The ``mechanism`` field takes either spelling (``collate_data`` or
+``CollateData``); ``arg`` carries AggFunc (``"avg"``) or
+ListOfColFuncPairs as text (``"(cn,sum):(av,max)"``, ``"cn:sum"``) or
+as a JSON list of ``[column, func]`` pairs.
+
 Errors come back as ``{"ok": false, "error": "<class>",
-"message": "..."}`` and keep the connection usable.  A vanished peer
+"message": "..."}`` and keep the connection usable — a malformed
+``arg`` answers ``"AggregateError"``.  A vanished peer
 (EOF, reset) is an **abrupt disconnect**: the serving thread kills the
 session through the scheduler's cancel path, so a client that dies
 mid-query leaks nothing.
@@ -116,9 +122,12 @@ class WireServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         handle: Optional[ClientHandle] = None
         clean = False
+        # makefile() holds its own reference to the socket: it must be
+        # closed too, or conn.close() never releases the connection and
+        # the client waits out its own timeout instead of seeing EOF.
+        reader = conn.makefile("r", encoding="utf-8", newline="\n")
         try:
             handle = self._server.connect()
-            reader = conn.makefile("r", encoding="utf-8", newline="\n")
             for line in reader:
                 line = line.strip()
                 if not line:
@@ -145,6 +154,7 @@ class WireServer:
                     handle.close()
                 else:
                     handle.kill()
+            reader.close()
             conn.close()
 
     # -- request dispatch ---------------------------------------------------
@@ -178,7 +188,7 @@ class WireServer:
                 result = handle._mechanism(
                     str(request["mechanism"]), str(request["qs"]),
                     str(request["qq"]), str(request["table"]),
-                    self._decode_arg(request.get("arg")),
+                    request.get("arg"),
                     bool(request.get("persistent", False)),
                     request.get("workers"), True)
                 return {"ok": True, "table": result.table,
@@ -194,15 +204,6 @@ class WireServer:
         except KeyError as exc:
             return {"ok": False, "error": "BadRequest",
                     "message": f"missing field {exc}"}, False
-
-    @staticmethod
-    def _decode_arg(arg: Any) -> Any:
-        """JSON lists of [col, func] pairs come back as lists; the
-        aggregate parser wants tuples."""
-        if isinstance(arg, list):
-            return [tuple(item) if isinstance(item, list) else item
-                    for item in arg]
-        return arg
 
 
 class WireClient:

@@ -51,7 +51,7 @@ from repro.sql.expressions import (
     contains_aggregate,
     walk,
 )
-from repro.sql.functions import is_aggregate, make_aggregate
+from repro.sql.functions import BUILTIN_SCALARS, is_aggregate, make_aggregate
 from repro.sql.stats import StatsProvider, TableStats
 from repro.sql.types import SqlValue, is_true
 
@@ -190,11 +190,16 @@ class SelectPlan:
 # ---------------------------------------------------------------------------
 
 StatsLookup = Callable[[str], Optional[TableStats]]
+Functions = Dict[str, Callable[..., SqlValue]]
 
 
 def plan_from(descs: List[TableDesc], predicates: List[ast.Expr],
-              stats_for: StatsLookup) -> SelectPlan:
+              stats_for: StatsLookup, functions: Functions) -> SelectPlan:
     """Choose join order and access paths from catalog facts alone.
+
+    ``functions`` is the statement's function registry: constants such
+    as ``abs(-2)`` or ``snapshot_id('s1')`` are folded with it wherever
+    an index key or a selectivity needs their value.
 
     Deterministic and side-effect free: the same descs, predicates and
     statistics always yield the same plan, which is what makes plans
@@ -243,7 +248,7 @@ def plan_from(descs: List[TableDesc], predicates: List[ast.Expr],
         outer_rows = 0.0
         for desc in pending:
             est = _filtered_row_estimate(
-                stats_by[desc.ordinal], single_preds(desc), desc,
+                stats_by[desc.ordinal], single_preds(desc), desc, functions,
             )
             if outer is None or est < outer_rows:
                 outer, outer_rows = desc, est
@@ -252,10 +257,10 @@ def plan_from(descs: List[TableDesc], predicates: List[ast.Expr],
     pending.remove(outer)
 
     node, remaining = _plan_single_access(
-        outer, remaining, stats_by[outer.ordinal],
+        outer, remaining, stats_by[outer.ordinal], functions,
     )
     steps = [node]
-    remaining = _settle_pushdown(steps, remaining, stats_by)
+    remaining = _settle_pushdown(steps, remaining, stats_by, functions)
 
     while pending:
         chosen = None
@@ -298,14 +303,14 @@ def plan_from(descs: List[TableDesc], predicates: List[ast.Expr],
             consumed = chosen_join[0]
             remaining = [p for p in remaining if p is not consumed]
         steps.append(node)
-        remaining = _settle_pushdown(steps, remaining, stats_by)
+        remaining = _settle_pushdown(steps, remaining, stats_by, functions)
 
     return SelectPlan(steps=steps, residual=remaining)
 
 
 def _settle_pushdown(steps: List[PlanNode], remaining: List[ast.Expr],
                      stats_by: Dict[int, Optional[TableStats]],
-                     ) -> List[ast.Expr]:
+                     functions: Functions) -> List[ast.Expr]:
     """Assign every conjunct resolvable over the current prefix to the
     newest step (classic pushdown: filter before joining further), and
     refine that step's row estimate with the pushed selectivities."""
@@ -322,20 +327,20 @@ def _settle_pushdown(steps: List[PlanNode], remaining: List[ast.Expr],
         for pred in applicable:
             if _predicate_uses_only(pred, own_scope):
                 node.est_rows *= _clamp01(
-                    _pred_selectivity(stats, pred, node.desc)
+                    _pred_selectivity(stats, pred, node.desc, functions)
                 )
     return [p for p in remaining if id(p) not in applicable_ids]
 
 
 def _plan_single_access(desc: TableDesc, predicates: List[ast.Expr],
-                        stats: Optional[TableStats],
+                        stats: Optional[TableStats], functions: Functions,
                         ) -> Tuple[PlanNode, List[ast.Expr]]:
     """Access path for the outer table: heuristic first-match without
     statistics, cheapest costed candidate with them."""
     scope = desc.scope()
     if stats is None:
         for pred in predicates:
-            match = _desc_match_eq(pred, desc, scope)
+            match = _desc_match_eq(pred, desc, scope, functions)
             if match is not None:
                 spec = AccessSpec(kind="eq", index=match[0],
                                   column=match[1], pred=pred,
@@ -343,7 +348,7 @@ def _plan_single_access(desc: TableDesc, predicates: List[ast.Expr],
                 node = _access_node(desc, spec, None)
                 return node, [p for p in predicates if p is not pred]
         for pred in predicates:
-            match = _desc_match_range(pred, desc, scope)
+            match = _desc_match_range(pred, desc, scope, functions)
             if match is not None:
                 index, column, lo, hi, lo_inc, hi_inc = match
                 spec = AccessSpec(kind="range", index=index, column=column,
@@ -358,7 +363,7 @@ def _plan_single_access(desc: TableDesc, predicates: List[ast.Expr],
     best_spec = AccessSpec(kind="scan")
     best_cost, best_sel = _access_cost(best_spec, stats)
     for pred in predicates:
-        match = _desc_match_eq(pred, desc, scope)
+        match = _desc_match_eq(pred, desc, scope, functions)
         if match is None:
             continue
         spec = AccessSpec(kind="eq", index=match[0], column=match[1],
@@ -367,7 +372,7 @@ def _plan_single_access(desc: TableDesc, predicates: List[ast.Expr],
         if cost < best_cost:
             best_spec, best_cost, best_sel = spec, cost, sel
     for pred in predicates:
-        match = _desc_match_range(pred, desc, scope)
+        match = _desc_match_range(pred, desc, scope, functions)
         if match is None:
             continue
         index, column, lo, hi, lo_inc, hi_inc = match
@@ -495,17 +500,17 @@ def _join_probe_cost(stats: Optional[TableStats], inner_col: str,
 
 def _filtered_row_estimate(stats: Optional[TableStats],
                            preds: List[ast.Expr],
-                           desc: TableDesc) -> float:
+                           desc: TableDesc, functions: Functions) -> float:
     if stats is None:
         return 0.0
     estimate = float(stats.row_count)
     for pred in preds:
-        estimate *= _clamp01(_pred_selectivity(stats, pred, desc))
+        estimate *= _clamp01(_pred_selectivity(stats, pred, desc, functions))
     return estimate
 
 
 def _pred_selectivity(stats: TableStats, pred: ast.Expr,
-                      desc: TableDesc) -> float:
+                      desc: TableDesc, functions: Functions) -> float:
     """Raw selectivity estimate of one single-table conjunct."""
     if isinstance(pred, ast.BinaryOp) and pred.op == "=":
         for col_side, val_side in ((pred.left, pred.right),
@@ -520,7 +525,7 @@ def _pred_selectivity(stats: TableStats, pred: ast.Expr,
                 (pred.right, pred.left, _flip(pred.op))):
             if isinstance(col_side, ast.ColumnRef) \
                     and _is_constant(val_side):
-                value = _constant_value(val_side)
+                value = _constant_value(val_side, functions)
                 if op in ("<", "<="):
                     return stats.range_selectivity(col_side.name,
                                                    None, value)
@@ -530,12 +535,13 @@ def _pred_selectivity(stats: TableStats, pred: ast.Expr,
             and _is_constant(pred.low) and _is_constant(pred.high):
         return stats.range_selectivity(
             pred.operand.name,
-            _constant_value(pred.low), _constant_value(pred.high),
+            _constant_value(pred.low, functions),
+            _constant_value(pred.high, functions),
         )
     if isinstance(pred, ast.InList) and not pred.negated \
             and isinstance(pred.operand, ast.ColumnRef) \
             and all(_is_constant(item) for item in pred.items):
-        values = {_constant_value(item) for item in pred.items}
+        values = {_constant_value(item, functions) for item in pred.items}
         return min(1.0, len(values)
                    * stats.eq_selectivity(pred.operand.name))
     return 0.5
@@ -557,41 +563,53 @@ def _desc_leading_index(desc: TableDesc, column: str) -> Optional[str]:
     return None
 
 
-def _desc_match_eq(pred: ast.Expr, desc: TableDesc, scope: Scope):
-    """(index name, column, constant) for ``col = <constant>`` preds."""
+def _desc_match_eq(pred: ast.Expr, desc: TableDesc, scope: Scope,
+                   functions: Functions):
+    """(index name, column, constant) for ``col = <constant>`` preds.
+
+    The leading index is looked up before the constant is folded, so an
+    unindexed column never evaluates its constant at plan time.  A NULL
+    constant is no index key (a comparison against NULL is never true):
+    it falls through to the scan filter, which evaluates it to empty.
+    """
     if not (isinstance(pred, ast.BinaryOp) and pred.op == "="):
         return None
     for col_side, val_side in ((pred.left, pred.right),
                                (pred.right, pred.left)):
         if isinstance(col_side, ast.ColumnRef) \
                 and scope.try_resolve(col_side) is not None \
-                and _is_comparable_constant(val_side):
-            name = col_side.name.lower()
-            for index_name, cols in desc.indexes:
-                if cols and cols[0].lower() == name:
-                    return index_name, name, _constant_value(val_side)
+                and _is_constant(val_side):
+            index = _desc_leading_index(desc, col_side.name)
+            if index is None:
+                continue
+            value = _constant_value(val_side, functions)
+            if value is not None:
+                return index, col_side.name.lower(), value
     return None
 
 
-def _desc_match_range(pred: ast.Expr, desc: TableDesc, scope: Scope):
+def _desc_match_range(pred: ast.Expr, desc: TableDesc, scope: Scope,
+                      functions: Functions):
     """(index, column, lo, hi, lo_inc, hi_inc) for range predicates.
 
     Mirrors the historical matcher exactly, including the subtlety that
     a comparison whose column resolves but has no leading index rejects
-    the *predicate* outright rather than trying the flipped side.
+    the *predicate* outright rather than trying the flipped side.  As in
+    :func:`_desc_match_eq`, constants fold only once an index is found.
     """
     ops = ("<", "<=", ">", ">=")
     if isinstance(pred, ast.Between) and not pred.negated:
         col = pred.operand
         if isinstance(col, ast.ColumnRef) \
                 and scope.try_resolve(col) is not None \
-                and _is_comparable_constant(pred.low) \
-                and _is_comparable_constant(pred.high):
+                and _is_constant(pred.low) and _is_constant(pred.high):
             index = _desc_leading_index(desc, col.name)
             if index is not None:
-                return (index, col.name.lower(),
-                        [_constant_value(pred.low)],
-                        [_constant_value(pred.high)], True, True)
+                low = _constant_value(pred.low, functions)
+                high = _constant_value(pred.high, functions)
+                if low is not None and high is not None:
+                    return (index, col.name.lower(), [low], [high],
+                            True, True)
         return None
     if not (isinstance(pred, ast.BinaryOp) and pred.op in ops):
         return None
@@ -600,12 +618,15 @@ def _desc_match_range(pred: ast.Expr, desc: TableDesc, scope: Scope):
             (pred.right, pred.left, _flip(pred.op))):
         if isinstance(col_side, ast.ColumnRef) \
                 and scope.try_resolve(col_side) is not None \
-                and _is_comparable_constant(val_side):
+                and _is_constant(val_side):
             index = _desc_leading_index(desc, col_side.name)
             if index is None:
                 return None
+            folded = _constant_value(val_side, functions)
+            if folded is None:
+                continue
             column = col_side.name.lower()
-            value = [_constant_value(val_side)]
+            value = [folded]
             if op == "<":
                 return index, column, None, value, True, False
             if op == "<=":
@@ -652,7 +673,7 @@ def plan_select_static(select: ast.Select, schema,
     planlint and the golden-plan corpus).
     """
     descs, predicates = _descs_from_schema(select, schema)
-    return plan_from(descs, predicates, stats.table_stats)
+    return plan_from(descs, predicates, stats.table_stats, BUILTIN_SCALARS)
 
 
 def render_plan(select: ast.Select, schema,
@@ -858,6 +879,8 @@ class _SelectPlanner:
     def __init__(self, select: ast.Select, ctx: ExecutionContext) -> None:
         self.select = select
         self.ctx = ctx
+        #: the statement's function registry, for planning and compiling
+        self.functions = ctx.functions
         self.index_build_seconds = 0.0
         #: human-readable access-path decisions (EXPLAIN output)
         self.plan_notes: List[str] = []
@@ -886,7 +909,7 @@ class _SelectPlanner:
             remaining = predicates
             scope = Scope([])
 
-        compiler = ExpressionCompiler(scope, self.ctx.functions)
+        compiler = ExpressionCompiler(scope, self.functions)
 
         if remaining:
             filters = [compiler.compile(p) for p in remaining]
@@ -961,7 +984,8 @@ class _SelectPlanner:
             )
             for position, table in enumerate(tables)
         ]
-        plan = plan_from(descs, predicates, self.ctx.table_stats)
+        plan = plan_from(descs, predicates, self.ctx.table_stats,
+                         self.functions)
         self.plan = plan
 
         ordered: List[BoundTable] = []
@@ -987,7 +1011,7 @@ class _SelectPlanner:
         if not pushed:
             return rows
         scope = _scope_for(ordered)
-        compiler = ExpressionCompiler(scope, self.ctx.functions)
+        compiler = ExpressionCompiler(scope, self.functions)
         filters = [compiler.compile(p) for p in pushed]
         return _filtered(rows, filters)
 
@@ -1036,7 +1060,7 @@ class _SelectPlanner:
 
         prefix_scope = _scope_for(prefix)
         outer_eval = ExpressionCompiler(
-            prefix_scope, self.ctx.functions,
+            prefix_scope, self.functions,
         ).compile(spec.outer_expr)
 
         if spec.kind == "native":
@@ -1230,7 +1254,7 @@ class _SelectPlanner:
             for item in items
         ]
         post_scope = Scope([("", f"#{i}") for i in range(len(mapping))])
-        post_compiler = ExpressionCompiler(post_scope, self.ctx.functions)
+        post_compiler = ExpressionCompiler(post_scope, self.functions)
         self._check_grouped(post_items, group_exprs)
 
         evaluators = [post_compiler.compile(item.expr)
@@ -1341,7 +1365,7 @@ def scan_for_modify(table: TableAccess, indexes: List[IndexAccess],
         columns=table.info.column_names(),
         indexes=[(ix.info.name, tuple(ix.info.columns)) for ix in indexes],
     )
-    node, rest = _plan_single_access(desc, conjuncts(where), None)
+    node, rest = _plan_single_access(desc, conjuncts(where), None, functions)
     filters = []
     if rest:
         compiler = ExpressionCompiler(desc.scope(), functions)
@@ -1387,16 +1411,8 @@ def _is_constant(expr: ast.Expr) -> bool:
                    for node in walk(expr))
 
 
-def _is_comparable_constant(expr: ast.Expr) -> bool:
-    """Constant, and usable as an index key: a comparison against NULL
-    is never true, so it must fall through to the scan filter (which
-    evaluates it to empty) rather than probe the index — NULL keys are
-    physically present in the tree but match no predicate."""
-    return _is_constant(expr) and _constant_value(expr) is not None
-
-
 def _constant_value(expr: ast.Expr,
-                    functions: Optional[Dict] = None) -> SqlValue:
+                    functions: Optional[Functions] = None) -> SqlValue:
     compiler = ExpressionCompiler(Scope([]), functions or {})
     return compiler.compile(expr)(())
 

@@ -127,3 +127,79 @@ class TestParserRobustness:
             assert isinstance(exc, ReproError), type(exc)
         # The database stays usable regardless.
         assert db.execute("SELECT COUNT(*) FROM t").scalar() >= 0
+
+
+class TestConstantFoldingSeesFunctions:
+    """Constants compared against a column fold with the statement's
+    function registry, so a function call on the constant side plans
+    (through an index when one leads with the column) and returns the
+    rows stdlib sqlite3 returns on the same data."""
+
+    ROWS = [(i, i % 3, f"t{i}") for i in range(1, 9)]
+
+    @pytest.fixture
+    def pair(self):
+        import sqlite3
+
+        ours = Database()
+        oracle = sqlite3.connect(":memory:")
+        ddl = "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, tag TEXT)"
+        ours.execute(ddl)
+        oracle.execute(ddl)
+        for row in self.ROWS:
+            insert = f"INSERT INTO t VALUES ({row[0]}, {row[1]}, '{row[2]}')"
+            ours.execute(insert)
+            oracle.execute(insert)
+        yield ours, oracle
+        oracle.close()
+
+    @pytest.mark.parametrize("analyze", [False, True],
+                             ids=["heuristic", "costed"])
+    @pytest.mark.parametrize("where", [
+        "v = abs(-2)",
+        "id >= length('ab')",
+        "abs(-3) = id",
+        "id BETWEEN length('ab') AND abs(-5)",
+        "id < length(NULL)",
+        "id IN (abs(-1), length('abc'))",
+    ])
+    def test_select_matches_sqlite(self, pair, where, analyze):
+        ours, oracle = pair
+        if analyze:
+            ours.execute("ANALYZE t")
+        sql = f"SELECT * FROM t WHERE {where} ORDER BY id"
+        assert ours.execute(sql).rows == oracle.execute(sql).fetchall()
+
+    def test_delete_matches_sqlite(self, pair):
+        ours, oracle = pair
+        ours.execute("DELETE FROM t WHERE id = abs(-3)")
+        oracle.execute("DELETE FROM t WHERE id = abs(-3)")
+        sql = "SELECT * FROM t ORDER BY id"
+        assert ours.execute(sql).rows == oracle.execute(sql).fetchall()
+        assert len(ours.execute(sql).rows) == len(self.ROWS) - 1
+
+    def test_folded_range_still_uses_the_index(self, pair):
+        ours, _ = pair
+        plan = [row[0] for row in ours.execute(
+            "EXPLAIN SELECT * FROM t WHERE id >= length('ab')").rows]
+        assert any("USING INDEX" in line and "(range)" in line
+                   for line in plan), plan
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_named_snapshot_qs_runs_a_mechanism(self, workers):
+        from repro.core import RQLSession
+
+        session = RQLSession()
+        session.execute("CREATE TABLE t (a INTEGER)")
+        for n in range(4):
+            session.execute(f"INSERT INTO t VALUES ({n})")
+            session.declare_snapshot(name=f"s{n + 1}")
+        qs = ("SELECT snap_id FROM SnapIds "
+              "WHERE snap_id >= snapshot_id('s2') ORDER BY snap_id")
+        assert [r[0] for r in session.execute(qs).rows] == [2, 3, 4]
+        plan = [row[0] for row in session.execute("EXPLAIN " + qs).rows]
+        assert any("USING INDEX" in line for line in plan), plan
+        result = session.collate_data(
+            qs, "SELECT a, current_snapshot() FROM t", "R", workers=workers)
+        assert result.snapshots == [2, 3, 4]
+        assert session.execute("SELECT COUNT(*) FROM R").scalar() == 2 + 3 + 4

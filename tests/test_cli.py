@@ -203,6 +203,18 @@ class TestRqlintCommand:
         )
         assert "merge class stored-row" in output
 
+    def test_pair_arg_paper_form_parses(self):
+        output = run_shell(
+            "CREATE TABLE t (g TEXT, cn INTEGER, av INTEGER);\n"
+            ".rqlint AggregateDataInTable (cn,sum):(av,max) "
+            "SELECT g, cn, av FROM t;\n"
+            ".rqlint aggregate_data_in_table (cn,median) "
+            "SELECT g, cn FROM t;\n"
+        )
+        assert "merge class stored-row" in output
+        assert "merge class serial-only" in output
+        assert "RQL102" in output
+
     def test_unknown_mechanism_is_an_error(self):
         output = run_shell(".rqlint Bogus SELECT 1;\n")
         assert "error:" in output
